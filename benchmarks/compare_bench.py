@@ -42,6 +42,9 @@ GATES = {
     "train_throughput.json": (
         "cold_speedup",
         "steady_speedup",
+        # One epoch of a fresh flow-shaped machine: what `matador run`
+        # pays before the model settles.
+        "early_speedup",
     ),
     "serve_throughput.json": (
         "batch_sizes.1.speedup_vs_per_sample",
@@ -84,7 +87,10 @@ GATES_LOWER = {
 
 # Reported (never gated) context metrics, when present.
 REPORTED = {
-    "train_throughput.json": ("steady_vectorized_samples_per_sec",),
+    "train_throughput.json": (
+        "steady_vectorized_samples_per_sec",
+        "early_vectorized_samples_per_sec",
+    ),
     "serve_throughput.json": ("per_sample_baseline_rps",),
     "stream_throughput.json": (
         "vectorized_updates_per_sec",

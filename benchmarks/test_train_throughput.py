@@ -2,10 +2,11 @@
 
 Thin pytest wrapper around :func:`repro.tsetlin.bench.train_benchmark`
 (shared with the ``bench-train`` CLI command — see that module for the
-regime definitions and measurement methodology).  Records a perf
-trajectory for the training engine so future PRs can see regressions,
-and gates the packed-word feedback path: the steady-state regime must
-hold a >=40x vectorized-vs-reference speedup.
+regime definitions and the interleaved min-of-N estimator).  Records a
+perf trajectory for the training engine — cold, steady and the early
+regime a default ``matador run`` pays — so future PRs can see
+regressions, and gates the packed-word feedback path: the steady-state
+regime must hold a >=40x vectorized-vs-reference speedup.
 
 Every measured run is verified bit-identical across backends inside
 ``train_benchmark`` itself — a divergence raises before any rate is

@@ -8,13 +8,15 @@ This module is our model of that absorption: a greedy cube-factoring pass
 all partial clauses of one HCB before any gates are created.
 
 Algorithm: count literal-pair frequencies across the cubes, repeatedly
-materialize the most frequent pair as a shared AND node and substitute it
-back into every cube that contains it, until no pair occurs twice.  Each
-substitution removes ``count - 1`` AND gates from the design.
+materialize the most frequent pair (ties: lowest by :func:`_rank`, so the
+result never depends on ``PYTHONHASHSEED``) as a shared AND node and
+substitute it back into every cube that contains it, until no pair occurs
+twice.  Each substitution removes ``count - 1`` AND gates from the design.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from itertools import combinations
 
@@ -35,6 +37,11 @@ def _pk(a, b):
     return tuple(sorted((a, b), key=repr))
 
 
+def _rank(pair):
+    """Stable tie-break key: net ids first, then factored symbols, by number."""
+    return sorted((1, s[1]) if isinstance(s, tuple) else (0, s) for s in pair)
+
+
 def _pair_counts(cubes):
     counts = Counter()
     for cube in cubes:
@@ -51,7 +58,7 @@ def factor_cubes(cubes, min_count=2, max_steps=None):
     Parameters
     ----------
     cubes:
-        Iterable of iterables of hashable symbols (typically net ids).
+        Iterable of iterables of integer symbols (net ids).
         Duplicated symbols within a cube are collapsed.
     min_count:
         Only extract pairs occurring at least this often (>= 2).
@@ -70,19 +77,31 @@ def factor_cubes(cubes, min_count=2, max_steps=None):
     work = [set(c) for c in cubes]
     steps = []
     counts = _pair_counts(work)
+    # Max-heap on (count, then _rank), not Counter insertion order, which
+    # follows set iteration.  A queued pair's count only falls, so a
+    # popped entry whose count went stale is re-queued at its current one.
+    heap = [(-n, _rank(p), p) for p, n in counts.items()]
+    heapq.heapify(heap)
     next_id = 0
 
-    while counts:
-        (a, b), best = counts.most_common(1)[0]
+    while heap:
+        neg, rank, top = heapq.heappop(heap)
+        best = counts.get(top, 0)
+        if best != -neg:
+            if best:
+                heapq.heappush(heap, (-best, rank, top))
+            continue
         if best < min_count:
             break
         if max_steps is not None and len(steps) >= max_steps:
             break
+        a, b = top
         sym = ("f", next_id)
         next_id += 1
         steps.append((sym, a, b))
         # Substitute into every cube containing both symbols, updating the
         # pair counts incrementally.
+        new_pairs = set()
         for cube in work:
             if a in cube and b in cube:
                 for x in cube:
@@ -94,8 +113,12 @@ def factor_cubes(cubes, min_count=2, max_steps=None):
                 cube.discard(a)
                 cube.discard(b)
                 for x in cube:
-                    counts[_pk(x, sym)] += 1
+                    pair = _pk(x, sym)
+                    counts[pair] += 1
+                    new_pairs.add(pair)
                 cube.add(sym)
-        counts.pop(_pk(a, b), None)
+        counts.pop(top, None)
+        for pair in new_pairs:
+            heapq.heappush(heap, (-counts[pair], _rank(pair), pair))
 
     return FactorResult(cubes=[tuple(sorted(c, key=repr)) for c in work], steps=steps)

@@ -241,11 +241,13 @@ def _pairwise_overlap(model, max_pairs=20000, seed=7):
     keep = ii != jj
     if not keep.any():
         return 0.0, 0
-    ii, jj = nonempty[ii[keep]], nonempty[jj[keep]]
-    a = inc[ii]
-    b = inc[jj]
-    inter = np.logical_and(a, b).sum(axis=1).astype(np.float64)
-    union = np.logical_or(a, b).sum(axis=1).astype(np.float64)
+    ii, jj = ii[keep], jj[keep]
+    # Intersections from the nonempty clauses' Gram matrix: n x n floats,
+    # not pairs x literals bools.  float32 sums of 0/1 are exact integers.
+    rows = inc[nonempty].astype(np.float32)
+    sizes = rows.sum(axis=1, dtype=np.float64)
+    inter = (rows @ rows.T)[ii, jj].astype(np.float64)
+    union = sizes[ii] + sizes[jj] - inter
     jac = np.where(union > 0, inter / union, 0.0)
     shared_pairs = int(np.count_nonzero(inter > 0))
     return float(jac.mean()), shared_pairs

@@ -285,8 +285,9 @@ class _Parser:
 
     # -- pass 2: lower onto a netlist ----------------------------------------
     def lower(self):
-        nl = Netlist(name=self.module_name)
-        env = {}
+        self._nl = nl = Netlist(name=self.module_name)
+        self._env = env = {}
+        self._resolving = set()
         for bit in self.input_bits:
             if bit == "clk":
                 continue  # the clock is implicit in the IR
@@ -295,47 +296,50 @@ class _Parser:
         for name, info in self.regs.items():
             env[name] = nl.dff(nl.const(0), init=info["init"], name=name)
 
-        resolving = set()
-
-        def resolve(ast):
-            kind = ast[0]
-            if kind == "const":
-                return nl.const(ast[1])
-            if kind == "ref":
-                return resolve_name(ast[1])
-            if kind == "not":
-                return nl.g_not(resolve(ast[1]))
-            if kind == "mux":
-                return nl.g_mux(resolve(ast[1]), resolve(ast[2]), resolve(ast[3]))
-            a, b = resolve(ast[1]), resolve(ast[2])
-            return {"and": nl.g_and, "or": nl.g_or, "xor": nl.g_xor}[kind](a, b)
-
-        def resolve_name(name):
-            if name in env:
-                return env[name]
-            if name not in self.wires:
-                raise VerilogSyntaxError(f"use of undefined signal {name!r}")
-            if name in resolving:
-                raise VerilogSyntaxError(f"combinational cycle through {name!r}")
-            resolving.add(name)
-            net = resolve(self.wires[name])
-            resolving.discard(name)
-            env[name] = net
-            return net
-
         for name, info in self.regs.items():
             nid = env[name]
             node = nl.nodes[nid]
             node.fanins = (
-                resolve(info["d"]),
-                resolve(info["en"]),
-                resolve(info["rst"]),
+                self._resolve(info["d"]),
+                self._resolve(info["en"]),
+                self._resolve(info["rst"]),
             )
         for bit in self.output_bits:
             if bit not in self.out_drivers:
                 raise VerilogSyntaxError(f"output {bit!r} never driven")
-            nl.set_output(bit, resolve(self.out_drivers[bit]))
+            nl.set_output(bit, self._resolve(self.out_drivers[bit]))
         return nl
+
+    # Methods, not nested closures: two closures calling each other form a
+    # reference cycle that keeps the parser and netlist alive until gc.
+    def _resolve(self, ast):
+        nl = self._nl
+        kind = ast[0]
+        if kind == "const":
+            return nl.const(ast[1])
+        if kind == "ref":
+            return self._resolve_name(ast[1])
+        if kind == "not":
+            return nl.g_not(self._resolve(ast[1]))
+        if kind == "mux":
+            return nl.g_mux(self._resolve(ast[1]), self._resolve(ast[2]),
+                            self._resolve(ast[3]))
+        a, b = self._resolve(ast[1]), self._resolve(ast[2])
+        return {"and": nl.g_and, "or": nl.g_or, "xor": nl.g_xor}[kind](a, b)
+
+    def _resolve_name(self, name):
+        env = self._env
+        if name in env:
+            return env[name]
+        if name not in self.wires:
+            raise VerilogSyntaxError(f"use of undefined signal {name!r}")
+        if name in self._resolving:
+            raise VerilogSyntaxError(f"combinational cycle through {name!r}")
+        self._resolving.add(name)
+        net = self._resolve(self.wires[name])
+        self._resolving.discard(name)
+        env[name] = net
+        return net
 
 
 def parse_verilog(src):

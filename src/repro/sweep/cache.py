@@ -24,7 +24,9 @@ __all__ = ["CACHE_VERSION", "sweep_key", "SweepCache"]
 # v2: the vectorized backend moved to bit-plane packed automata state
 # (word-level feedback); training code paths changed, so every v1 record
 # predates the layout and must be re-evaluated.
-CACHE_VERSION = 2
+# v3: cube factoring breaks pair-count ties by symbol order instead of
+# hash order, so v2 LUT counts may differ from a fresh evaluation.
+CACHE_VERSION = 3
 
 
 def canonical_json(payload):

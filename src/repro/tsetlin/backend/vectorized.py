@@ -22,7 +22,14 @@ This backend removes all three while staying **bit-identical** with
 * Type I feedback draws only the uniform rows belonging to selected
   clauses and *skips* the RNG stream past the rest (``TMRandom.skip`` —
   O(log n) for PCG64's ``advance``), leaving the generator in exactly the
-  state the reference's full-block draw would.
+  state the reference's full-block draw would;
+* a fit over a 2-D literal matrix keeps a per-(class, sample) cache of
+  clause outputs.  A feedback event that flips include bits only bumps
+  the bank's version and logs the touched rows; a stale sample is
+  repaired on its next visit, by replaying the logged rows or, once the
+  bank's log has reset under it, by re-scoring the whole bank.  The
+  cost is paid per visit, never per event x dataset, so early epochs —
+  where nearly every event changes the include plane — stay cheap.
 
 During a fit session the dense ``team.state`` writeback is deferred:
 touched rows are flagged dirty and decoded from the planes in bulk on
@@ -71,7 +78,6 @@ class VectorizedBackend(TMBackend):
         super().__init__(team)
         self._shadow = None  # team.state as of our last writeback
         self._nlw = None  # uint64-packed ~literals from begin_fit
-        self._nlw_ndim = 0
         self._out_cache = None  # per-(class, sample) clause outputs
         self._in_fit = False
         self.sync()
@@ -141,7 +147,6 @@ class VectorizedBackend(TMBackend):
         self._in_fit = True
         L = np.asarray(L_all, dtype=bool)
         nlw = pack_not_literal_words(L)
-        self._nlw_ndim = L.ndim
         if L.ndim != 2:
             self._nlw = nlw
             self._out_cache = None
@@ -163,8 +168,7 @@ class VectorizedBackend(TMBackend):
         self.flush_state()
         self._in_fit = False
         keep = (
-            self._nlw_ndim == 2
-            and self._out_cache is not None
+            self._out_cache is not None
             and self._out_cache.nbytes + self._nlw.nbytes
             <= self._CACHE_KEEP_BYTES
         )
@@ -270,10 +274,12 @@ class VectorizedBackend(TMBackend):
         selected ``rows`` (either may be None); they are disjoint by
         construction of the Type I arithmetic, so applying the increment
         then the decrement matches the reference's net-delta-then-clip.
-        Include-plane changes propagate to the dense/active caches and
-        bump the output-cache versions; the dense ``team.state`` writeback
-        is immediate outside a fit session and deferred (dirty rows)
-        inside one.
+        Include-plane changes propagate to the dense/active caches, bump
+        the bank's output-cache version and log the touched rows; cached
+        sample outputs are not touched here — :meth:`bank_outputs`
+        repairs each stale sample lazily on its next visit.  The dense
+        ``team.state`` writeback is immediate outside a fit session and
+        deferred (dirty rows) inside one.
         """
         packed = self._packed
         sub = packed.clause_rows(class_index, rows)  # (B, R, W) copy
@@ -307,31 +313,6 @@ class VectorizedBackend(TMBackend):
                 # every sample of this class do a full refresh instead.
                 self._base_ver[class_index] = ver
                 log.clear()
-            if (
-                self._in_fit
-                and self._out_cache is not None
-                and self._nlw_ndim == 2
-                and self._nlw is not None
-            ):
-                # Eager refresh: re-score the touched rows for every
-                # cached sample while the (rare) event is already being
-                # paid for, then fast-forward the samples that were fully
-                # fresh — their whole row is current again, so they keep
-                # taking bank_outputs' O(1) hit path.  Samples with older
-                # rows keep their version and repair lazily through the
-                # log/full-refresh machinery on their next visit (this
-                # event is in the log too).  Empty rows have all-zero
-                # include words, hence no violation, hence output 1 — the
-                # training convention falls out as usual.
-                viol = np.bitwise_and(
-                    self._nlw[:, None, :], sub[-1][changed][None, :, :]
-                ).any(axis=2)
-                self._out_cache[class_index][:, touched] = ~viol
-                prev = ver - 1
-                self._samp_ver[class_index] = [
-                    ver if v == prev else v
-                    for v in self._samp_ver[class_index]
-                ]
 
     def _draw_rows(self, rng, rows, n_clauses, n_literals):
         """Uniform draws for ``rows`` of a ``(n_clauses, n_literals)`` block.

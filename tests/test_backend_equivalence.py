@@ -66,6 +66,36 @@ class TestFlatEquivalence:
         assert logs[0] == logs[1]
 
 
+class TestChurnRegime:
+    """Early-epoch churn: most feedback events flip include bits.
+
+    Enough events pile up that a class's change log resets, so stale
+    cached samples come back through the full-bank refresh rather than
+    log replay.  Both repair paths must keep training bit-identical.
+    """
+
+    def test_full_refresh_path_bit_identical(self):
+        X, y = _dataset(n=240, f=40, n_classes=3, seed=4)
+        machines = {}
+        for backend in ("reference", "vectorized"):
+            tm = TsetlinMachine(3, 40, n_clauses=16, T=3, s=3.0, seed=5,
+                                backend=backend)
+            tm.fit(X, y, epochs=3)
+            machines[backend] = tm
+        ref, vec = machines["reference"], machines["vectorized"]
+        assert max(vec.backend._base_ver) > 1  # some class's log reset
+        assert np.array_equal(ref.team.state, vec.team.state)
+        assert np.array_equal(ref.class_sums(X), vec.class_sums(X))
+
+        order = np.random.default_rng(9).permutation(len(X))
+        for tm in (ref, vec):
+            for start in range(0, len(order), 50):
+                chunk = order[start:start + 50]
+                tm.partial_fit(X[chunk], y[chunk])
+        assert np.array_equal(ref.team.state, vec.team.state)
+        assert np.array_equal(ref.class_sums(X), vec.class_sums(X))
+
+
 class TestCoalescedEquivalence:
     def test_bit_identical_training(self):
         X, y = _dataset()

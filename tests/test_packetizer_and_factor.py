@@ -1,10 +1,16 @@
 """Tests for bandwidth-driven packetization (Fig. 4a) and cube factoring."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.accelerator.factor import factor_cubes
 from repro.accelerator.packetizer import PacketSchedule, depacketize, packetize
 
@@ -144,6 +150,39 @@ class TestFactorCubes:
     def test_invalid_min_count(self):
         with pytest.raises(ValueError):
             factor_cubes([[1, 2]], min_count=1)
+
+    def test_ties_broken_by_count_then_symbol_order(self):
+        # (10, 11) and (9, 10) both occur twice: the numerically lower pair
+        # wins, whatever the cube order or the pairs' repr order.
+        res = factor_cubes([[10, 11, 1], [10, 11, 2], [9, 10, 3], [9, 10, 4]])
+        assert set(res.steps[0][1:]) == {9, 10}
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from repro.accelerator import AcceleratorConfig, generate_accelerator
+from repro.model import TMModel
+include = np.random.default_rng(0).random((3, 40, 64)) < 0.25
+design = generate_accelerator(TMModel(include=include, n_features=32),
+                              AcceleratorConfig())
+h = hashlib.sha256()
+for node in design.netlist.nodes:
+    h.update(f"{node.kind}{tuple(node.fanins)}{node.init};".encode())
+print(h.hexdigest())
+"""
+
+
+def test_generated_netlist_independent_of_hash_seed():
+    """Factoring must not follow set iteration order (PYTHONHASHSEED)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 @settings(max_examples=40, deadline=None)

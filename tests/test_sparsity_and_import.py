@@ -14,6 +14,7 @@ from repro.model import (
     import_state_dump,
 )
 from repro.model.importer import ImportError_
+from repro.model.sparsity import _pairwise_overlap
 from _fixtures import random_model
 
 
@@ -75,6 +76,57 @@ class TestSharingReport:
         m = random_model(density=0.3, seed=4)
         rep = analyze_sharing(m)
         assert rep.pairwise_literal_overlap > 0.0
+
+
+def _brute_overlap(model, max_pairs=20000, seed=7):
+    """Per-pair Jaccard over Python sets, on the same sampled pairs."""
+    inc = model.include.reshape(-1, model.n_literals)
+    sets = [set(np.flatnonzero(row).tolist()) for row in inc if row.any()]
+    n = len(sets)
+    if n < 2:
+        return 0.0, 0
+    rng = np.random.default_rng(seed)
+    n_pairs = min(max_pairs, n * (n - 1) // 2)
+    ii = rng.integers(0, n, size=n_pairs)
+    jj = rng.integers(0, n, size=n_pairs)
+    jac, shared = [], 0
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        if i == j:
+            continue
+        inter = len(sets[i] & sets[j])
+        jac.append(inter / len(sets[i] | sets[j]))
+        shared += inter > 0
+    if not jac:
+        return 0.0, 0
+    return float(np.mean(jac)), shared
+
+
+def _overlap_cases():
+    rng = np.random.default_rng(3)
+    sparse = rng.random((3, 12, 40)) < 0.15
+    sparse[:, ::4] = False  # every fourth clause empty
+    one = np.zeros((2, 5, 40), dtype=bool)
+    one[1, 3, [0, 7, 21]] = True  # exactly one nonempty clause
+    same = np.zeros((2, 6, 40), dtype=bool)
+    same[:, :, [2, 9, 30]] = True  # every clause identical
+    dense = rng.random((4, 30, 40)) < 0.4
+    dense[0, :5] = False
+    return {"sparse": sparse, "one_nonempty": one, "identical": same,
+            "dense": dense, "all_empty": np.zeros((1, 4, 40), dtype=bool)}
+
+
+class TestPairwiseOverlap:
+    @pytest.mark.parametrize("case", sorted(_overlap_cases()))
+    @pytest.mark.parametrize("max_pairs", [20000, 7])
+    def test_matches_brute_force_exactly(self, case, max_pairs):
+        m = TMModel(include=_overlap_cases()[case], n_features=20)
+        got = _pairwise_overlap(m, max_pairs=max_pairs)
+        assert got == _brute_overlap(m, max_pairs=max_pairs)
+
+    def test_identical_clauses_overlap_fully(self):
+        m = TMModel(include=_overlap_cases()["identical"], n_features=20)
+        overlap, shared = _pairwise_overlap(m)
+        assert overlap == 1.0 and shared > 0
 
 
 class TestImporter:

@@ -1,5 +1,8 @@
 """Tests for the Verilog emitter and parser (round-trip verification)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.flow.verify import netlists_equivalent
@@ -120,6 +123,21 @@ class TestRoundTrip:
         nl.set_output("o", nl.dff(a))
         re = parse_verilog(emit_verilog(nl))
         assert netlists_equivalent(nl, re, n_cycles=16, seed=5)
+
+    def test_parse_leaves_no_cyclic_garbage(self):
+        # The parsed netlist (and the parser's token list behind it) must
+        # be freed by reference counting alone, not by a later gc pass.
+        src = emit_verilog(small_design())
+        gc.collect()
+        gc.disable()
+        try:
+            re = parse_verilog(src)
+            ref = weakref.ref(re)
+            del re
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestParserErrors:
