@@ -242,11 +242,11 @@ def build_parser():
         "bench-train",
         help="measure packed-word vs reference training throughput",
     )
-    bench_train.add_argument("--cold-epochs", type=int, default=1,
+    bench_train.add_argument("--cold-epochs", type=int, default=3,
                              help="epochs in the from-scratch regime")
     bench_train.add_argument("--steady-epochs", type=int, default=40,
                              help="epochs in the converged steady regime")
-    bench_train.add_argument("--repeats", type=int, default=3,
+    bench_train.add_argument("--repeats", type=int, default=2,
                              help="timed repetitions per backend and regime "
                                   "(min-of, backends interleaved)")
     bench_train.add_argument("--seed", type=int, default=1)

@@ -241,12 +241,14 @@ def _pairwise_overlap(model, max_pairs=20000, seed=7):
     keep = ii != jj
     if not keep.any():
         return 0.0, 0
-    ii, jj = ii[keep], jj[keep]
-    # Intersections from the nonempty clauses' Gram matrix: n x n floats,
-    # not pairs x literals bools.  float32 sums of 0/1 are exact integers.
-    rows = inc[nonempty].astype(np.float32)
-    sizes = rows.sum(axis=1, dtype=np.float64)
-    inter = (rows @ rows.T)[ii, jj].astype(np.float64)
+    ii, jj = nonempty[ii[keep]], nonempty[jj[keep]]
+    # Intersections over fixed-size chunks of pairs, so memory stays
+    # bounded by the chunk rather than by pairs x literals.
+    inter = np.empty(len(ii))
+    for lo in range(0, len(ii), 1024):
+        s = slice(lo, lo + 1024)
+        inter[s] = np.count_nonzero(inc[ii[s]] & inc[jj[s]], axis=1)
+    sizes = np.count_nonzero(inc, axis=1)
     union = sizes[ii] + sizes[jj] - inter
     jac = np.where(union > 0, inter / union, 0.0)
     shared_pairs = int(np.count_nonzero(inter > 0))

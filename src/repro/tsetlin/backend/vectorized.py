@@ -24,12 +24,15 @@ This backend removes all three while staying **bit-identical** with
   O(log n) for PCG64's ``advance``), leaving the generator in exactly the
   state the reference's full-block draw would;
 * a fit over a 2-D literal matrix keeps a per-(class, sample) cache of
-  clause outputs.  A feedback event that flips include bits only bumps
-  the bank's version and logs the touched rows; a stale sample is
-  repaired on its next visit, by replaying the logged rows or, once the
-  bank's log has reset under it, by re-scoring the whole bank.  The
-  cost is paid per visit, never per event x dataset, so early epochs —
-  where nearly every event changes the include plane — stay cheap.
+  clause outputs, versioned per class bank.  A feedback event that flips
+  include bits bumps the bank's version and logs the touched rows.  In a
+  quiet bank the event also re-scores those rows for the samples that
+  were current, so they stay current.  A bank whose change log fills up
+  in fewer visits than there are samples — early epochs, where nearly
+  every event changes the include plane — stops doing that, and a stale
+  sample is repaired on its next visit instead: by replaying the logged
+  rows or, once the log has reset under it, by re-scoring the whole bank.
+  So the refresh work follows visits, never events x dataset.
 
 During a fit session the dense ``team.state`` writeback is deferred:
 touched rows are flagged dirty and decoded from the planes in bulk on
@@ -140,7 +143,9 @@ class VectorizedBackend(TMBackend):
         self._log = [[] for _ in range(C)]
         if self._out_cache is not None:
             n = self._out_cache.shape[1]
-            self._samp_ver = [[0] * n for _ in range(C)]
+            self._samp_ver = np.zeros((C, n), dtype=np.int64)
+            self._quiet = [True] * C
+            self._visits = [0] * C
 
     def begin_fit(self, L_all):
         self.sync()
@@ -206,7 +211,8 @@ class VectorizedBackend(TMBackend):
             row = self._out_cache[class_index][lit_index]
             cv = self._class_ver[class_index]
             sample_vers = self._samp_ver[class_index]
-            sv = sample_vers[lit_index]
+            sv = int(sample_vers[lit_index])
+            self._visits[class_index] += 1
             if sv == cv:
                 return row
             nl = self._nlw[lit_index]
@@ -235,15 +241,12 @@ class VectorizedBackend(TMBackend):
                 ).any(axis=1)
                 np.logical_not(violated, out=row.view(bool))
             else:
-                # Of the replayed rows, only active (non-empty) ones need
-                # evaluation; empty ones output 1 directly.
-                live = stale[self._active[class_index][stale]]
-                row[stale] = 1
-                if live.size:
-                    violated = np.bitwise_and(
-                        self._incw[class_index][live], nl
-                    ).any(axis=1)
-                    row[live] = ~violated
+                # Empty replayed rows have all-zero include words, so they
+                # score 1 with no special case, as in the full refresh.
+                violated = np.bitwise_and(
+                    self._incw[class_index][stale], nl
+                ).any(axis=1)
+                row[stale] = ~violated
             sample_vers[lit_index] = cv
             return row
         nl = self._not_literal_words(literals, lit_index)  # (W,)
@@ -275,9 +278,10 @@ class VectorizedBackend(TMBackend):
         construction of the Type I arithmetic, so applying the increment
         then the decrement matches the reference's net-delta-then-clip.
         Include-plane changes propagate to the dense/active caches, bump
-        the bank's output-cache version and log the touched rows; cached
-        sample outputs are not touched here — :meth:`bank_outputs`
-        repairs each stale sample lazily on its next visit.  The dense
+        the bank's output-cache version and log the touched rows.  A quiet
+        bank also re-scores the touched rows of its current samples;
+        otherwise :meth:`bank_outputs` repairs each stale sample on its
+        next visit (see the module docstring).  The dense
         ``team.state`` writeback is immediate outside a fit session and
         deferred (dirty rows) inside one.
         """
@@ -313,6 +317,30 @@ class VectorizedBackend(TMBackend):
                 # every sample of this class do a full refresh instead.
                 self._base_ver[class_index] = ver
                 log.clear()
+                if self._out_cache is not None:
+                    # Quiet iff the log took at least one visit per
+                    # cached sample to fill.
+                    n = self._out_cache.shape[1]
+                    self._quiet[class_index] = self._visits[class_index] >= n
+                    self._visits[class_index] = 0
+            if (
+                self._in_fit
+                and self._out_cache is not None
+                and self._quiet[class_index]
+            ):
+                # Quiet bank: keep its current samples current by
+                # re-scoring just the touched rows.  Empty rows have
+                # all-zero include words, so they score 1 as usual.
+                vers = self._samp_ver[class_index]
+                fresh = np.flatnonzero(vers == ver - 1)
+                if fresh.size:
+                    viol = np.bitwise_and(
+                        self._nlw[fresh][:, None, :],
+                        sub[-1][changed][None, :, :],
+                    ).any(axis=2)
+                    out = self._out_cache[class_index]
+                    out[fresh[:, None], touched] = ~viol
+                    vers[fresh] = ver
 
     def _draw_rows(self, rng, rows, n_clauses, n_literals):
         """Uniform draws for ``rows`` of a ``(n_clauses, n_literals)`` block.

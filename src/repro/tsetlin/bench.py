@@ -18,16 +18,15 @@ Three regimes are measured:
   ``matador run`` (784 features, 60 clauses/class, 300 samples), where
   nearly every feedback event flips include bits.
 
-The vectorized steady window is deliberately long (``steady_epochs``):
-its per-(class, sample) output cache warms up over the first visits, so
-short windows under-report the steady rate.  The reference has no cache
-and starts converged, so its per-sample cost is flat and it is timed
-over ``REFERENCE_STEADY_EPOCHS`` (at most ``steady_epochs``).
+The steady window is deliberately long (``steady_epochs``): the
+vectorized backend's per-(class, sample) output cache warms up over the
+first visits, so short windows under-report the steady-state rate.
 
-Both backends take the minimum of ``repeats`` timed fits (fresh machine
-each, cache fill included), their repeats interleaved so a burst of
-machine load hits both sides.  Every regime is verified bit-identical
-across backends before any rate is reported.
+Both backends are timed over the same window and take the minimum of
+``repeats`` fits (fresh machine each, cache fill included), their repeats
+interleaved so a burst of machine load hits both sides.  Every timed fit
+is verified bit-identical to the regime's first reference fit before any
+rate is reported.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ T = 16
 S = 5.0
 N_SAMPLES = 100
 WARM_EPOCHS = 25
-REFERENCE_STEADY_EPOCHS = 2
 # The default flow config (mnist, T=20) over half its training samples.
 EARLY = {"n_features": 784, "n_clauses": 60, "T": 20, "n_samples": 300}
 
@@ -73,30 +71,31 @@ def _machine(backend, seed=123, n_features=N_FEATURES, n_clauses=N_CLAUSES,
     )
 
 
-def _timed_regime(make, X, y, epochs, warm_state, repeats):
+def _timed_regime(regime, make, X, y, epochs, warm_state, repeats):
     """Min-of-``repeats`` seconds per backend, the backends interleaved.
 
-    ``epochs`` maps backend -> timed window.  Also returns one machine
-    per backend trained over the reference window, for the identity check.
+    Raises if any fit's state differs from the first (reference) fit's;
+    returns the best times and the last machine per backend.
     """
-    jobs = [(b, epochs[b]) for _ in range(repeats) for b in BACKENDS]
-    if epochs["vectorized"] != epochs["reference"]:
-        jobs.append(("vectorized", epochs["reference"]))  # check, untimed
     best = dict.fromkeys(BACKENDS, float("inf"))
-    trained = {}
-    for backend, n_epochs in jobs:
-        tm = trained[backend] = make(backend)
-        if warm_state is not None:
-            tm.team.state[:] = warm_state
-            tm.backend.sync()
-        t0 = time.perf_counter()
-        tm.fit(X, y, epochs=n_epochs, track_metrics=False)
-        if n_epochs == epochs[backend]:
+    trained, first = {}, None
+    for _ in range(repeats):
+        for backend in BACKENDS:
+            tm = trained[backend] = make(backend)
+            if warm_state is not None:
+                tm.team.state[:] = warm_state
+                tm.backend.sync()
+            t0 = time.perf_counter()
+            tm.fit(X, y, epochs=epochs, track_metrics=False)
             best[backend] = min(best[backend], time.perf_counter() - t0)
+            if first is None:
+                first = tm.team.state.copy()
+            elif not np.array_equal(tm.team.state, first):
+                raise RuntimeError(f"backends diverged in the {regime} regime")
     return best, trained
 
 
-def train_benchmark(cold_epochs=1, steady_epochs=40, repeats=3, seed=1,
+def train_benchmark(cold_epochs=3, steady_epochs=40, repeats=2, seed=1,
                     noise=0.02):
     """Measure vectorized-vs-reference training throughput per regime.
 
@@ -104,8 +103,7 @@ def train_benchmark(cold_epochs=1, steady_epochs=40, repeats=3, seed=1,
     ----------
     cold_epochs, steady_epochs:
         Epochs per timed fit in each regime (early is always one).  The
-        vectorized steady window is long by default (see the module
-        docstring).
+        steady window is long by default (see the module docstring).
     repeats:
         Timed repetitions per backend and regime (min-of, fresh machine
         each, the two backends interleaved).
@@ -132,13 +130,11 @@ def train_benchmark(cold_epochs=1, steady_epochs=40, repeats=3, seed=1,
     if warm.evaluate(X, y) != 1.0:
         raise RuntimeError("benchmark task failed to converge")
 
-    ref_steady = min(REFERENCE_STEADY_EPOCHS, steady_epochs)
     results = {"config": {
         "n_classes": N_CLASSES, "n_features": N_FEATURES,
         "n_clauses": N_CLAUSES, "T": T, "s": S, "n_samples": N_SAMPLES,
         "cold_epochs": int(cold_epochs),
         "steady_epochs": int(steady_epochs),
-        "steady_reference_epochs": ref_steady,
         "early_epochs": 1, "early": dict(EARLY),
         "repeats": int(repeats),
     }}
@@ -149,19 +145,17 @@ def train_benchmark(cold_epochs=1, steady_epochs=40, repeats=3, seed=1,
         return _machine(backend, n_features=EARLY["n_features"],
                         n_clauses=EARLY["n_clauses"], T=EARLY["T"])
 
-    for regime, make, Xr, yr, ref_epochs, vec_epochs, start in (
-        ("cold", _machine, X, y, cold_epochs, cold_epochs, None),
-        ("steady", _machine, X, y, ref_steady, steady_epochs, warm_state),
-        ("early", early_machine, X_early, y_early, 1, 1, None),
+    for regime, make, Xr, yr, epochs, start in (
+        ("cold", _machine, X, y, cold_epochs, None),
+        ("steady", _machine, X, y, steady_epochs, warm_state),
+        ("early", early_machine, X_early, y_early, 1, None),
     ):
-        epochs = {"reference": ref_epochs, "vectorized": vec_epochs}
-        best, trained = _timed_regime(make, Xr, yr, epochs, start, repeats)
+        best, trained = _timed_regime(regime, make, Xr, yr, epochs, start,
+                                      repeats)
         for backend in BACKENDS:
-            rate = len(Xr) * epochs[backend] / best[backend]
+            rate = len(Xr) * epochs / best[backend]
             results[f"{regime}_{backend}_samples_per_sec"] = round(rate, 1)
         ref, vec = trained["reference"], trained["vectorized"]
-        if not np.array_equal(ref.team.state, vec.team.state):
-            raise RuntimeError(f"backends diverged in the {regime} regime")
         if not np.array_equal(ref.predict(Xr), vec.predict(Xr)):
             raise RuntimeError(f"predictions diverged in the {regime} regime")
         results[f"{regime}_speedup"] = round(
@@ -175,7 +169,7 @@ def format_train_benchmark(payload):
     """Plain-text summary of a :func:`train_benchmark` payload.
 
     >>> print(format_train_benchmark({
-    ...     "config": {"cold_epochs": 1, "steady_epochs": 40,
+    ...     "config": {"cold_epochs": 3, "steady_epochs": 40,
     ...                "early_epochs": 1},
     ...     "cold_reference_samples_per_sec": 150.0,
     ...     "cold_vectorized_samples_per_sec": 460.0,
@@ -187,7 +181,7 @@ def format_train_benchmark(payload):
     ...     "early_vectorized_samples_per_sec": 825.0,
     ...     "early_speedup": 1.5}))
     training benchmark (samples/sec)
-      cold   (1 epochs): reference      150  vectorized      460  (3.1x)
+      cold   (3 epochs): reference      150  vectorized      460  (3.1x)
       steady (40 epochs): reference      155  vectorized     7130  (46.0x)
       early  (1 epochs): reference      550  vectorized      825  (1.5x)
     """

@@ -72,6 +72,8 @@ class TestChurnRegime:
     Enough events pile up that a class's change log resets, so stale
     cached samples come back through the full-bank refresh rather than
     log replay.  Both repair paths must keep training bit-identical.
+    A few samples over many epochs is the opposite, quiet regime: banks
+    re-score their current samples on each event instead.
     """
 
     def test_full_refresh_path_bit_identical(self):
@@ -84,6 +86,7 @@ class TestChurnRegime:
             machines[backend] = tm
         ref, vec = machines["reference"], machines["vectorized"]
         assert max(vec.backend._base_ver) > 1  # some class's log reset
+        assert not all(vec.backend._quiet)  # ... in fewer visits than samples
         assert np.array_equal(ref.team.state, vec.team.state)
         assert np.array_equal(ref.class_sums(X), vec.class_sums(X))
 
@@ -92,6 +95,20 @@ class TestChurnRegime:
             for start in range(0, len(order), 50):
                 chunk = order[start:start + 50]
                 tm.partial_fit(X[chunk], y[chunk])
+        assert np.array_equal(ref.team.state, vec.team.state)
+        assert np.array_equal(ref.class_sums(X), vec.class_sums(X))
+
+    def test_quiet_bank_refresh_bit_identical(self):
+        X, y = _dataset(n=30, f=40, n_classes=3, seed=4)
+        machines = {}
+        for backend in ("reference", "vectorized"):
+            tm = TsetlinMachine(3, 40, n_clauses=16, T=10, s=3.0, seed=5,
+                                backend=backend)
+            tm.fit(X, y, epochs=30)
+            machines[backend] = tm
+        ref, vec = machines["reference"], machines["vectorized"]
+        assert all(vec.backend._quiet)
+        assert min(vec.backend._class_ver) > 100  # many in-place re-scores
         assert np.array_equal(ref.team.state, vec.team.state)
         assert np.array_equal(ref.class_sums(X), vec.class_sums(X))
 
