@@ -8,10 +8,15 @@ This module is our model of that absorption: a greedy cube-factoring pass
 all partial clauses of one HCB before any gates are created.
 
 Algorithm: count literal-pair frequencies across the cubes, repeatedly
-materialize the most frequent pair (ties: lowest by :func:`_rank`, so the
-result never depends on ``PYTHONHASHSEED``) as a shared AND node and
-substitute it back into every cube that contains it, until no pair occurs
-twice.  Each substitution removes ``count - 1`` AND gates from the design.
+materialize the most frequent pair (ties: the pair of lowest symbols,
+input symbols before factored ones, so the result never depends on
+``PYTHONHASHSEED``) as a shared AND node and substitute it back into
+every cube that contains it, until no pair occurs twice.  Each
+substitution removes ``count - 1`` AND gates from the design.
+
+Internally every symbol is an integer that sorts in that tie-break
+order, and a symbol -> cube-index map limits each substitution to the
+cubes holding both symbols of the pair.
 """
 
 from __future__ import annotations
@@ -27,29 +32,9 @@ class FactorResult:
     """Outcome of factoring: per-cube symbol sets plus the shared steps."""
 
     def __init__(self, cubes, steps):
-        self.cubes = cubes          # list of tuples of symbols (net ids / step ids)
-        self.steps = steps          # list of (new_symbol, a, b) in creation order
+        self.cubes = cubes  # list of tuples of symbols (net ids / step ids)
+        self.steps = steps  # list of (new_symbol, a, b) in creation order
         self.n_extracted = len(steps)
-
-
-def _pk(a, b):
-    """Canonical pair key (repr ordering works across mixed symbol types)."""
-    return tuple(sorted((a, b), key=repr))
-
-
-def _rank(pair):
-    """Stable tie-break key: net ids first, then factored symbols, by number."""
-    return sorted((1, s[1]) if isinstance(s, tuple) else (0, s) for s in pair)
-
-
-def _pair_counts(cubes):
-    counts = Counter()
-    for cube in cubes:
-        if len(cube) < 2:
-            continue
-        for a, b in combinations(sorted(cube, key=repr), 2):
-            counts[_pk(a, b)] += 1
-    return counts
 
 
 def factor_cubes(cubes, min_count=2, max_steps=None):
@@ -74,51 +59,68 @@ def factor_cubes(cubes, min_count=2, max_steps=None):
     """
     if min_count < 2:
         raise ValueError("min_count must be >= 2")
-    work = [set(c) for c in cubes]
-    steps = []
-    counts = _pair_counts(work)
-    # Max-heap on (count, then _rank), not Counter insertion order, which
-    # follows set iteration.  A queued pair's count only falls, so a
-    # popped entry whose count went stale is re-queued at its current one.
-    heap = [(-n, _rank(p), p) for p, n in counts.items()]
+    cubes = [set(c) for c in cubes]
+    # Input symbol k is internal id k; step n creates internal id
+    # len(symbols) + n, so integer order is the tie-break order.
+    symbols = sorted(set().union(*cubes))
+    index = {s: k for k, s in enumerate(symbols)}
+    work = [{index[s] for s in cube} for cube in cubes]
+    holders = {k: set() for k in range(len(symbols))}
+    counts = Counter()
+    for i, cube in enumerate(work):
+        for s in cube:
+            holders[s].add(i)
+        counts.update(combinations(sorted(cube), 2))
+    # Max-heap on (count, then the lower pair), not on Counter order.  A
+    # queued pair's count only falls, so a popped entry whose count went
+    # stale is re-queued at its current one.
+    heap = [(-n, a, b) for (a, b), n in counts.items()]
     heapq.heapify(heap)
-    next_id = 0
+    steps = []
 
     while heap:
-        neg, rank, top = heapq.heappop(heap)
-        best = counts.get(top, 0)
+        neg, a, b = heapq.heappop(heap)
+        best = counts.get((a, b), 0)
         if best != -neg:
             if best:
-                heapq.heappush(heap, (-best, rank, top))
+                heapq.heappush(heap, (-best, a, b))
             continue
         if best < min_count:
             break
         if max_steps is not None and len(steps) >= max_steps:
             break
-        a, b = top
-        sym = ("f", next_id)
-        next_id += 1
-        steps.append((sym, a, b))
-        # Substitute into every cube containing both symbols, updating the
-        # pair counts incrementally.
-        new_pairs = set()
-        for cube in work:
-            if a in cube and b in cube:
-                for x in cube:
-                    if x != a and x != b:
-                        for pair in (_pk(x, a), _pk(x, b)):
-                            counts[pair] -= 1
-                            if counts[pair] <= 0:
-                                del counts[pair]
-                cube.discard(a)
-                cube.discard(b)
-                for x in cube:
-                    pair = _pk(x, sym)
-                    counts[pair] += 1
-                    new_pairs.add(pair)
-                cube.add(sym)
-        counts.pop(top, None)
-        for pair in new_pairs:
-            heapq.heappush(heap, (-counts[pair], _rank(pair), pair))
+        sym = len(symbols) + len(steps)
+        steps.append((a, b))
+        # Substitute into the cubes holding both symbols, updating the
+        # pair counts incrementally.  ``sym`` is the highest id yet, so
+        # (x, sym) is already a canonical pair key.
+        touched = holders[a] & holders[b]
+        for i in touched:
+            cube = work[i]
+            cube.discard(a)
+            cube.discard(b)
+            for x in cube:
+                for y in (a, b):
+                    pair = (x, y) if x < y else (y, x)
+                    counts[pair] -= 1
+                    if counts[pair] <= 0:
+                        del counts[pair]
+                counts[x, sym] += 1
+            cube.add(sym)
+        holders[a] -= touched
+        holders[b] -= touched
+        holders[sym] = touched
+        del counts[a, b]
+        for x in {x for i in touched for x in work[i]} - {sym}:
+            heapq.heappush(heap, (-counts[x, sym], x, sym))
 
-    return FactorResult(cubes=[tuple(sorted(c, key=repr)) for c in work], steps=steps)
+    def external(s):
+        return symbols[s] if s < len(symbols) else ("f", s - len(symbols))
+
+    def ordered(group):
+        return tuple(sorted(map(external, group), key=repr))
+
+    return FactorResult(
+        cubes=[ordered(cube) for cube in work],
+        steps=[(("f", n), *ordered(pair)) for n, pair in enumerate(steps)],
+    )

@@ -26,6 +26,8 @@ from ..tsetlin.booleanize import literals_from_features
 
 __all__ = ["TMModel"]
 
+_ROWS_PER_CHUNK = 1024
+
 
 class TMModel:
     """Immutable trained-model artifact.
@@ -107,19 +109,23 @@ class TMModel:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}"
             )
-        L = literals_from_features(X)
-        violations = np.einsum(
-            "nf,ckf->nck", (1 - L).astype(np.uint8), self.include.astype(np.uint8)
-        )
-        out = (violations == 0).astype(np.uint8)
+        include = self.include.astype(np.uint8)
+        out = np.empty((len(X),) + include.shape[:2], dtype=np.uint8)
+        # Rows in chunks: the literal and violation temporaries of a whole
+        # large batch would dwarf the result.
+        for a in range(0, len(X), _ROWS_PER_CHUNK):
+            L = literals_from_features(X[a : a + _ROWS_PER_CHUNK])
+            violations = np.einsum("nf,ckf->nck", (1 - L).astype(np.uint8), include)
+            out[a : a + _ROWS_PER_CHUNK] = violations == 0
         nonempty = self.include.any(axis=2)
         out &= nonempty[np.newaxis, :, :].astype(np.uint8)
         return out
 
     def class_sums(self, X):
         """Vote totals ``(samples, classes)`` under the reference semantics."""
-        out = self.clause_outputs(X).astype(np.int32)
-        return np.einsum("nck,ck->nc", out, self.vote_weights())
+        weights = np.asarray(self.vote_weights())
+        dtype = np.promote_types(np.int32, weights.dtype)
+        return np.einsum("nck,ck->nc", self.clause_outputs(X), weights, dtype=dtype)
 
     def predict(self, X):
         return np.argmax(self.class_sums(X), axis=1)

@@ -41,7 +41,7 @@ SEQ_KINDS = ("dff",)
 _COMMUTATIVE = {"and", "or", "xor"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """One netlist node; ``fanins`` are indexes of other nodes."""
 

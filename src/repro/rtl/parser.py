@@ -30,6 +30,7 @@ patched once every expression has resolved.
 from __future__ import annotations
 
 import re
+import sys
 
 from .netlist import Netlist
 
@@ -54,35 +55,43 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(src):
-    tokens = []
+    """Yield the significant tokens of ``src``, skipping blanks and comments.
+
+    A generator, so a parse holds only the tokens it peeks at, not the
+    whole token list of a large module.
+    """
     pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise VerilogSyntaxError(
-                f"cannot tokenize at offset {pos}: {src[pos:pos + 30]!r}"
-            )
+    for m in _TOKEN_RE.finditer(src):
+        if m.start() != pos:
+            break
         pos = m.end()
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        tokens.append(m.group())
-    return tokens
+        if m.lastgroup not in ("ws", "comment"):
+            yield m.group()
+    if pos < len(src):
+        raise VerilogSyntaxError(
+            f"cannot tokenize at offset {pos}: {src[pos:pos + 30]!r}"
+        )
 
 
 class _Cursor:
     def __init__(self, tokens):
         self.tokens = tokens
-        self.i = 0
+        self.ahead = []  # tokens peeked at but not yet consumed
 
     def peek(self, ahead=0):
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
+        buf = self.ahead
+        while len(buf) <= ahead:
+            tok = next(self.tokens, None)
+            if tok is None:
+                return None
+            buf.append(tok)
+        return buf[ahead]
 
     def next(self):
         tok = self.peek()
         if tok is None:
             raise VerilogSyntaxError("unexpected end of input")
-        self.i += 1
+        del self.ahead[0]
         return tok
 
     def expect(self, *expected):
@@ -92,8 +101,9 @@ class _Cursor:
         return tok
 
 
-# Expression AST: ("const", 0/1) | ("ref", name) | ("not", ast)
+# Expression AST: 0/1 (a constant) | name (a net) | ("not", ast)
 #               | ("and"/"or"/"xor", ast, ast) | ("mux", sel, a, b)
+# Bare atoms keep the tens of thousands of collected gates small.
 
 
 class _Parser:
@@ -116,14 +126,15 @@ class _Parser:
             idx = self.cur.next()
             self.cur.expect("]")
             return f"{name}[{idx}]"
-        return name
+        # Every use of a net shares one string with its declaration.
+        return sys.intern(name)
 
     def _atom(self):
         tok = self.cur.peek()
         if tok in ("1'b0", "1'b1"):
             self.cur.next()
-            return ("const", 1 if tok == "1'b1" else 0)
-        return ("ref", self._signal_name())
+            return 1 if tok == "1'b1" else 0
+        return self._signal_name()
 
     def _expr(self):
         if self.cur.peek() == "~":
@@ -191,9 +202,9 @@ class _Parser:
             init = self.cur.expect("1'b0", "1'b1")
             self.cur.expect(";")
             self.regs[name] = {
-                "d": ("const", 0),
-                "en": ("const", 1),
-                "rst": ("const", 0),
+                "d": 0,
+                "en": 1,
+                "rst": 0,
                 "init": 1 if init == "1'b1" else 0,
             }
         elif tok == "assign":
@@ -222,8 +233,8 @@ class _Parser:
         self.cur.expect(")")
         self.cur.expect("begin")
 
-        rst = ("const", 0)
-        en = ("const", 1)
+        rst = 0
+        en = 1
 
         if self.cur.peek() == "if":
             self.cur.next()
@@ -314,11 +325,11 @@ class _Parser:
     # reference cycle that keeps the parser and netlist alive until gc.
     def _resolve(self, ast):
         nl = self._nl
+        if isinstance(ast, str):
+            return self._resolve_name(ast)
+        if isinstance(ast, int):
+            return nl.const(ast)
         kind = ast[0]
-        if kind == "const":
-            return nl.const(ast[1])
-        if kind == "ref":
-            return self._resolve_name(ast[1])
         if kind == "not":
             return nl.g_not(self._resolve(ast[1]))
         if kind == "mux":

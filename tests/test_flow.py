@@ -10,6 +10,7 @@ from repro.accelerator import AcceleratorConfig, generate_accelerator
 from repro.flow import FlowConfig, MatadorFlow, verify_design
 from repro.flow.cli import main
 from repro.flow.deploy import deployment_report, generate_host_driver, write_bundle
+from repro.simulator import AcceleratorSimulator
 from repro.synthesis import implement_design
 from _fixtures import random_model
 
@@ -214,6 +215,23 @@ class TestVerifyDesign:
         report = verify_design(design, n_random_vectors=24)
         assert not report.functional_ok
         assert not report.passed
+
+    def test_detects_sabotaged_winner_sum(self, tiny_model):
+        design = generate_accelerator(tiny_model, AcceleratorConfig(bus_width=8))
+        # Invert the lowest class-sum bit: every prediction stays right and
+        # the emitted Verilog carries the same fault, so only a comparison
+        # of the winners' class sums can see it.
+        nl = design.netlist
+        nl.set_output("result_sum[0]", nl.g_not(nl.outputs["result_sum[0]"]))
+        X = np.random.default_rng(0).integers(0, 2, size=(24, tiny_model.n_features))
+        batch = AcceleratorSimulator(design, batch=len(X)).run_batch(X)
+        assert np.array_equal(batch.predictions, tiny_model.predict(X))
+
+        report = verify_design(design, n_random_vectors=24)
+        assert report.roundtrip_ok and report.protocol_ok
+        assert not report.functional_ok
+        assert not report.passed
+        assert any("functional mismatch" in note for note in report.notes)
 
 
 class TestDeployArtifacts:

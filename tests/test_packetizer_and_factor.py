@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.accelerator.hcb as hcb
+from repro.accelerator import AcceleratorConfig, generate_accelerator
 from repro.accelerator.factor import factor_cubes
 from repro.accelerator.packetizer import PacketSchedule, depacketize, packetize
+from _fixtures import random_model
 
 
 class TestScheduleFig4:
@@ -199,3 +204,62 @@ def test_factoring_preserves_conjunctions(cubes):
     assert len(res.cubes) == len(cubes)
     for original, factored in zip(cubes, res.cubes):
         assert expand(factored, res.steps) == set(original)
+
+
+def _scan_factor(cubes, min_count=2):
+    """Brute-force reference: every step recounts all pairs over all cubes,
+    takes the most frequent (ties: lowest symbols, nets before factored
+    symbols) and substitutes it into every cube holding both symbols."""
+
+    def rank(s):
+        return (1, s[1]) if isinstance(s, tuple) else (0, s)
+
+    work = [set(c) for c in cubes]
+    steps = []
+    while True:
+        counts = Counter()
+        for cube in work:
+            counts.update(combinations(sorted(cube, key=rank), 2))
+        if not counts:
+            break
+        pair, n = min(counts.items(), key=lambda kv: (-kv[1], [rank(s) for s in kv[0]]))
+        if n < min_count:
+            break
+        sym = ("f", len(steps))
+        steps.append((sym, *sorted(pair, key=repr)))
+        for cube in work:
+            if set(pair) <= cube:
+                cube -= set(pair)
+                cube.add(sym)
+    return [tuple(sorted(c, key=repr)) for c in work], steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cubes=st.lists(
+        st.lists(st.integers(0, 14), min_size=1, max_size=7),
+        min_size=1,
+        max_size=14,
+    ),
+    min_count=st.sampled_from([2, 3]),
+)
+def test_factoring_matches_per_step_scan(cubes, min_count):
+    """Few symbols make many count ties; 9 < 10 < 11 differ from repr order."""
+    res = factor_cubes(cubes, min_count=min_count)
+    assert (res.cubes, res.steps) == _scan_factor(cubes, min_count)
+
+
+def test_factoring_matches_per_step_scan_on_hcb_cubes(monkeypatch):
+    seen = []
+
+    def recording(cubes, **kwargs):
+        seen.append([list(c) for c in cubes])
+        return factor_cubes(cubes, **kwargs)
+
+    monkeypatch.setattr(hcb, "factor_cubes", recording)
+    model = random_model(n_classes=3, n_clauses=12, n_features=16, density=0.3)
+    generate_accelerator(model, AcceleratorConfig())
+    assert seen and any(factor_cubes(c).steps for c in seen)
+    for cubes in seen:
+        res = factor_cubes(cubes)
+        assert (res.cubes, res.steps) == _scan_factor(cubes)
